@@ -34,7 +34,7 @@ from repro.bench.stats import LatencyStats, percentile
 from repro.config import CalibratedParameters, default_parameters
 from repro.core.fireworks import FireworksPlatform
 from repro.errors import InvocationFailedError, InvocationSheddedError
-from repro.platforms.base import MODE_WARM
+from repro.platforms.base import MODE_WARM, InvocationRecord
 from repro.platforms.catalyzer import CatalyzerPlatform
 from repro.platforms.firecracker import FirecrackerPlatform
 from repro.platforms.gvisor_platform import GVisorPlatform
@@ -134,16 +134,37 @@ def _empty_latency() -> LatencyStats:
                         p99_ms=0.0, max_ms=0.0)
 
 
-def _submit(platform, function: str):
+@dataclasses.dataclass
+class ReplayLedger:
+    """What a replay keeps of its run: the warm-memory samples and, per
+    completed invocation in completion order, the three fields the
+    outcome reads.  Nothing else of an invocation needs to outlive it, so
+    replay memory does not grow with the trace length."""
+
+    samples: array = dataclasses.field(default_factory=lambda: array("d"))
+    latencies: array = dataclasses.field(default_factory=lambda: array("d"))
+    waits: array = dataclasses.field(default_factory=lambda: array("d"))
+    warm_starts: int = 0
+
+    def add(self, record: InvocationRecord) -> None:
+        """Fold one completed invocation's record in."""
+        self.latencies.append(record.total_ms)
+        self.waits.append(record.queue_wait_ms)
+        if record.mode == MODE_WARM:
+            self.warm_starts += 1
+
+
+def _submit(platform, function: str, ledger: ReplayLedger):
     """One open-loop submission: sheds and failures are accounted on the
     platform (``shedded_invocations`` / ``failed_invocations``), never
     crash the replay."""
     try:
-        yield from platform.invoke(function)
+        record = yield from platform.invoke(function)
     except InvocationSheddedError:
-        pass
+        return
     except InvocationFailedError:
-        pass
+        return
+    ledger.add(record)
 
 
 def _start_memory_sampler(platform, until_ms: float, interval_ms: float,
@@ -169,26 +190,32 @@ def _start_memory_sampler(platform, until_ms: float, interval_ms: float,
 
 def open_loop_replay(platform, trace, duration_ms: float,
                      sample_interval_ms: float = DEFAULT_SAMPLE_INTERVAL_MS
-                     ) -> "array":
+                     ) -> ReplayLedger:
     """Fire every trace event at its time as a detached process, then
-    drain.  Returns the warm-memory samples (an ``array('d')``).
+    drain.  Returns the run's :class:`ReplayLedger`.
 
     Trace times are relative to *now* (installs already advanced the
-    clock), so event ``at_ms`` fires at ``start + at_ms``.
+    clock), so event ``at_ms`` fires at ``start + at_ms``.  The outcome
+    reads only the ledger, so with the platform's ``keep_history`` off
+    no invocation's record or span tree outlives its completion; the
+    records and roots kept before the replay (installs) are dropped too.
     """
     sim = platform.sim
     start_ms = sim.now
-    samples = array("d")
+    if not platform.keep_history:
+        platform.records.clear()
+        sim.tracer.clear()
+    ledger = ReplayLedger()
     _start_memory_sampler(platform, start_ms + duration_ms,
-                          sample_interval_ms, samples)
+                          sample_interval_ms, ledger.samples)
     for event in trace:
         at_ms = start_ms + event.at_ms
         if sim.now < at_ms:
             sim.run(until=at_ms)
-        sim.process(_submit(platform, event.function),
+        sim.process(_submit(platform, event.function, ledger),
                     name=f"load:{event.function}")
     sim.run()   # drain in-flight requests, reclamation, the scaler
-    return samples
+    return ledger
 
 
 def build_load_trace(n_functions: int, duration_ms: float, seed: int,
@@ -290,25 +317,23 @@ def run_load_platform(
             for event in chaos_plan.events])
         HostFailureController(platform, shifted, failover=True)
 
-    samples = open_loop_replay(platform, trace, duration_ms)
-
-    latencies = array("d", (record.total_ms for record in platform.records))
-    waits = array("d", (record.queue_wait_ms for record in platform.records))
-    warm = sum(1 for record in platform.records
-               if record.mode == MODE_WARM)
+    # Stream the replay: nothing reads its records or span trees.
+    platform.keep_history = False
+    ledger = open_loop_replay(platform, trace, duration_ms)
+    latencies, waits, samples = ledger.latencies, ledger.waits, ledger.samples
     outcome = LoadOutcome(
         platform=platform_name,
         mode=scaler.mode,
         n_hosts=n_hosts,
         requests=len(trace),
-        completed=len(platform.records),
+        completed=len(latencies),
         shed=len(platform.shedded_invocations),
         failed=len(platform.failed_invocations),
         latency=(LatencyStats.from_samples(latencies) if latencies
                  else _empty_latency()),
         queue_wait_p50_ms=percentile(waits, 50) if waits else 0.0,
         queue_wait_p99_ms=percentile(waits, 99) if waits else 0.0,
-        warm_starts=warm,
+        warm_starts=ledger.warm_starts,
         provisioned=scaler.provisioned,
         peak_warm_mb=max(samples) if samples else 0.0,
         mean_warm_mb=(sum(samples) / len(samples)) if samples else 0.0)

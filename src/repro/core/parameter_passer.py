@@ -51,11 +51,13 @@ class ParameterPasser:
 
         Reads the exact offset the matching :meth:`publish` wrote (Figure
         3's ``kafkacat -o -1 -c 1`` is only equivalent when nothing else
-        touched the topic).  Returns the parameters.  Raises
+        touched the topic), then deletes the topic: clones are single-use,
+        so nothing reads it again and the broker does not grow a topic per
+        clone.  Returns the parameters.  Raises
         :class:`BusError` if the host never published (a control-plane bug
         Fireworks must not mask).  An armed ``param-fetch`` fault (broker
-        hiccup) surfaces after the consume timeout elapses; the caller
-        retries.
+        hiccup) surfaces after the consume timeout elapses, before the
+        consume, so the caller's retry still finds the topic.
         """
         yield self.sim.timeout(self.config.param_fetch_ms)
         if self.faults is not None:
@@ -72,4 +74,5 @@ class ParameterPasser:
             raise BusError(
                 f"malformed parameter record on {topic!r}")
         self._published.pop(fc_id, None)
+        self.bus.delete_topic(topic)
         return record.value

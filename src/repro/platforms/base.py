@@ -305,9 +305,26 @@ class ServerlessPlatform:
         self.shedded_invocations: List = []
         self.active_workers: List[Worker] = []
         self.records: List[InvocationRecord] = []
+        self.completed = 0           # invocations that returned a record
         self._specs: Dict[str, FunctionSpec] = {}
         self._db_triggers: Dict[str, List[Tuple[str, Any]]] = {}
         self._invocation_seq = 0
+
+    @property
+    def keep_history(self) -> bool:
+        """Whether finished invocations stay reachable: their records in
+        :attr:`records` and their span trees in the tracer's roots.
+
+        The one bit is the tracer's :attr:`~repro.trace.Tracer.keep_roots`.
+        The open-loop replay turns it off, so each invocation's state is
+        freed once its caller drops the returned record; every other run
+        keeps full history.
+        """
+        return self.sim.tracer.keep_roots
+
+    @keep_history.setter
+    def keep_history(self, keep: bool) -> None:
+        self.sim.tracer.keep_roots = keep
 
     # -- single-host views (host 0 is the only host by default) ------------------
     @property
@@ -542,7 +559,9 @@ class ServerlessPlatform:
         record.exec_ms = breakdown.exec_ms
         record.other_ms = breakdown.other_ms
         record.queue_wait_ms = breakdown.queue_ms
-        self.records.append(record)
+        self.completed += 1
+        if self.keep_history:
+            self.records.append(record)
         return record
 
     def _invoke_attempt(self, spec: FunctionSpec, mode: str,

@@ -25,11 +25,17 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 
 
 class Tracer:
-    """Issues spans timed on one simulation's clock; keeps every root."""
+    """Issues spans timed on one simulation's clock; keeps every root.
+
+    With :attr:`keep_roots` off, new roots are not added to :attr:`roots`:
+    a tree is freed once nothing else references it.  Parents, children
+    and trace ids are assigned exactly as with it on.
+    """
 
     def __init__(self, sim: "Simulation") -> None:
         self.sim = sim
         self.roots: List[Span] = []
+        self.keep_roots = True
         self._default_stack: List[Span] = []
         self._auto_ids = 0
 
@@ -122,7 +128,8 @@ class Tracer:
             if not span.trace_id:
                 self._auto_ids += 1
                 span.trace_id = f"trace-{self._auto_ids}"
-            self.roots.append(span)
+            if self.keep_roots:
+                self.roots.append(span)
 
     # -- queries -------------------------------------------------------------
     def traces(self) -> Tuple[Span, ...]:

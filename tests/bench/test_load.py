@@ -78,7 +78,7 @@ class TestChaosCrashMidTrace:
         assert outcome.requests > 0
         assert outcome.completed + outcome.shed + outcome.failed \
             == outcome.requests
-        assert outcome.completed == len(platform.records)
+        assert outcome.completed == platform.completed
         assert outcome.failed == len(platform.failed_invocations)
         assert outcome.shed == len(platform.shedded_invocations)
 

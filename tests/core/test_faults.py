@@ -3,7 +3,7 @@
 import pytest
 
 from repro.bench import fresh_platform, install_all, invoke_once
-from repro.core import FireworksPlatform
+from repro.core import FireworksPlatform, topic_for
 from repro.errors import ReproError
 from repro.faults import (FaultInjector, InjectedFault,
                           SnapshotCorruptedError)
@@ -120,6 +120,15 @@ class TestParamFetchRecovery:
         record = invoke_once(platform, spec.name)
         assert record.mode == "snapshot"
         assert platform.param_fetch_retries == 2
+
+    def test_retried_fetch_finds_the_topic_then_deletes_it(
+            self, faulty_platform):
+        platform, spec, faults = faulty_platform
+        faults.arm("param-fetch", spec.name, count=2)
+        invoke_once(platform, spec.name)
+        assert platform.param_fetch_retries == 2
+        assert not any(name.startswith(topic_for(""))
+                       for name in platform.bus.topic_names())
 
     def test_persistent_fetch_failure_propagates(self, faulty_platform):
         platform, spec, faults = faulty_platform

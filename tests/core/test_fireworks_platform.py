@@ -33,6 +33,16 @@ class TestInvocation:
                          platform.invoke(spec.name, mode=forced_mode))
             assert record.mode == MODE_SNAPSHOT
 
+    def test_topic_count_constant_over_repeated_invocations(self, fw):
+        """Each clone's parameter topic is deleted once fetched, so the
+        broker does not grow a topic per invocation."""
+        platform, spec = fw
+        run(platform.sim, platform.invoke(spec.name))
+        topics = len(platform.bus.topic_names())
+        for _ in range(5):
+            run(platform.sim, platform.invoke(spec.name))
+        assert len(platform.bus.topic_names()) == topics
+
     def test_startup_far_below_warm_baselines(self, fw, params):
         platform, spec = fw
         record = run(platform.sim, platform.invoke(spec.name))

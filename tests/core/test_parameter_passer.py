@@ -35,6 +35,13 @@ class TestPublishFetch:
         run(sim, parameter_passer.publish("fc1", {"fresh": True}))
         assert run(sim, parameter_passer.fetch("fc1")) == {"fresh": True}
 
+    def test_fetch_deletes_the_topic(self, passer):
+        """Clones are single-use: the consumed topic does not linger."""
+        sim, parameter_passer = passer
+        run(sim, parameter_passer.publish("fc1", {"n": 7}))
+        run(sim, parameter_passer.fetch("fc1"))
+        assert not parameter_passer.bus.has_topic(topic_for("fc1"))
+
     def test_fetch_without_publish_raises(self, passer):
         sim, parameter_passer = passer
         with pytest.raises(BusError):

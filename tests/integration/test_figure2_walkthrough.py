@@ -60,14 +60,23 @@ class TestInvocationPhase:
         sim = fireworks.sim
         run(sim, fireworks.install(spec))
         fireworks.retain_workers = True
+        produced = []
+        produce = fireworks.bus.produce
+
+        def spy(topic, value, timestamp_ms=0.0):
+            produced.append((topic, value))
+            return produce(topic, value, timestamp_ms)
+        fireworks.bus.produce = spy
         record = run(sim, fireworks.invoke(spec.name,
                                            payload={"n": 1000003}))
         worker = record.worker
 
-        # (5) the arguments went through the per-instance Kafka topic.
+        # (5) the arguments went through the per-instance Kafka topic,
+        # which the guest's fetch consumed and deleted (clones are
+        # single-use).
         fc_id = worker.sandbox.mmds.get("fcID")
-        published = fireworks.bus.consume_latest(topic_for(fc_id))
-        assert published.value["function"] == spec.name
+        assert (topic_for(fc_id), {"function": spec.name}) in produced
+        assert not fireworks.bus.has_topic(topic_for(fc_id))
 
         # (6) the clone got its own namespace/NAT wiring around the
         # snapshotted guest identity.

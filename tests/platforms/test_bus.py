@@ -3,7 +3,7 @@
 import pytest
 
 from repro.errors import BusError
-from repro.platforms.bus import MessageBus
+from repro.platforms.bus import RETENTION_RECORDS, MessageBus
 
 
 @pytest.fixture
@@ -20,6 +20,16 @@ class TestTopics:
         bus = MessageBus(auto_create_topics=False)
         with pytest.raises(BusError):
             bus.produce("ghost", {})
+
+    def test_delete_topic_drops_its_records(self, bus):
+        bus.produce("topicfc1", {"x": 1})
+        bus.delete_topic("topicfc1")
+        assert not bus.has_topic("topicfc1")
+        assert bus.produce("topicfc1", {"x": 2}).offset == 0
+
+    def test_delete_missing_topic_raises(self, bus):
+        with pytest.raises(BusError):
+            bus.delete_topic("ghost")
 
     def test_explicit_duplicate_create_raises(self, bus):
         bus.create_topic("t")
@@ -54,6 +64,16 @@ class TestProduceConsume:
         assert bus.consume_at("t", 0).value == "a"
         with pytest.raises(BusError):
             bus.consume_at("t", 5)
+
+    def test_retention_keeps_the_newest_records(self, bus):
+        """Offsets keep counting; an aged-out offset is out of range."""
+        for value in range(RETENTION_RECORDS + 1):
+            bus.produce("t", value)
+        assert len(bus.topic("t")) == RETENTION_RECORDS
+        assert bus.consume_latest("t").offset == RETENTION_RECORDS
+        assert bus.consume_at("t", 1).value == 1
+        with pytest.raises(BusError):
+            bus.consume_at("t", 0)
 
     def test_records_carry_timestamps(self, bus):
         record = bus.produce("t", "a", timestamp_ms=12.5)

@@ -221,6 +221,21 @@ class TestInvocationRecord:
         run(platform.sim, platform.invoke(spec.name))
         assert len(platform.records) == 2
 
+    def test_without_history_records_are_counted_not_kept(self, params,
+                                                           spec):
+        platform = _installed(OpenWhiskPlatform, params, spec)
+        run(platform.sim, platform.invoke(spec.name))
+        kept_records = list(platform.records)
+        kept_roots = list(platform.sim.tracer.roots)
+        platform.keep_history = False
+        assert platform.sim.tracer.keep_roots is False
+        record = run(platform.sim, platform.invoke(spec.name))
+        assert record.span is not None and record.total_ms > 0.0
+        # Turning history off keeps what was kept and adds nothing.
+        assert platform.records == kept_records
+        assert platform.sim.tracer.roots == kept_roots
+        assert platform.completed == 2
+
     def test_table1_row(self, params, spec):
         platform = _installed(FirecrackerPlatform, params, spec)
         row = platform.table1_row()

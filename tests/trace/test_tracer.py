@@ -159,6 +159,25 @@ class TestQueries:
         sim.tracer.clear()
         assert sim.tracer.traces() == ()
 
+    def test_without_keep_roots_trees_and_ids_are_unchanged(self, sim):
+        """Not keeping roots changes nothing but the root list: parents,
+        children and auto trace ids come out as they do with it on."""
+        def body():
+            with sim.tracer.span("a") as first:
+                with sim.tracer.span("child"):
+                    yield sim.timeout(1.0)
+            with sim.tracer.span("b") as second:
+                yield sim.timeout(1.0)
+            return first, second
+
+        sim.tracer.keep_roots = False
+        first, second = run(sim, body())
+        assert sim.tracer.roots == []
+        assert (first.trace_id, second.trace_id) == ("trace-1", "trace-2")
+        child = first.children[0]
+        assert child.parent is first and child.trace_id == "trace-1"
+        assert first.parent is None
+
     def test_standalone_tracer_default_stack(self, sim):
         tracer = Tracer(sim)
         with tracer.span("outside-any-process") as span:
