@@ -154,13 +154,12 @@ class Timeout(Event):
 class Condition(Event):
     """Base for events that fire when some set of child events fire."""
 
-    __slots__ = ("_events", "_pending")
+    __slots__ = ("_events",)
 
     def __init__(self, sim: "Simulation", events: List[Event],
                  name: str = "") -> None:
         super().__init__(sim, name)
         self._events = list(events)
-        self._pending = 0
         for event in self._events:
             if event.sim is not sim:
                 raise SimulationError("condition mixes simulations")
@@ -172,7 +171,6 @@ class Condition(Event):
                 # Already decided; evaluate immediately via a callback shim.
                 self._check(event)
             else:
-                self._pending += 1
                 assert event.callbacks is not None
                 event.callbacks.append(self._check)
 
@@ -194,7 +192,6 @@ class AllOf(Condition):
         if not event.ok:
             self.fail(event.value)
             return
-        self._pending -= 1
         if all(child.triggered and child.ok for child in self._events):
             self.succeed(self._collect())
 

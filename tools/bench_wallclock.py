@@ -120,24 +120,27 @@ def bench_fig10(max_vms: int = 800) -> dict:
 # DES kernel suite (--des / --des-smoke)
 # ---------------------------------------------------------------------------
 
-#: Pre-rewrite kernel numbers, measured on the same machine and Python
-#: (3.11) that produced the committed "after" numbers, at the commit
-#: before the calendar-queue rewrite.  Workload shapes match the
-#: corresponding "after" benches exactly (same event counts, same
-#: pending depths, same load-replay configuration).
+#: Pre-rewrite kernel numbers: the kernel at the commit before the rewrite
+#: that added pooled payloads and the ``schedule_timeout`` fast path
+#: (single heap, one ``Timeout`` Event per timer), timed with this
+#: harness's shapes on a 2-vCPU x86 VM with Python 3.11.7, medians of
+#: three rounds interleaved with runs of the current kernel.  The current
+#: kernel is a single heap too, so the ratios show what pooling buys;
+#: single runs on that VM spread by up to +-30 %, so read them as a
+#: range, not a figure.
 DES_BASELINE = {
     "note": ("single-heap kernel + per-event Timeout construction, "
-             "measured with this harness's workload shapes before the "
-             "calendar-queue rewrite"),
-    "generic_churn_small_ev_per_s": 375_506.0,
-    "generic_churn_10k_ev_per_s": 347_416.0,
-    "generic_churn_500k_ev_per_s": 312_517.0,
-    "process_churn_ev_per_s": 305_177.0,
-    "zero_delay_cascade_ev_per_s": 434_180.0,
-    "mixed_cascade_ev_per_s": 440_905.0,
-    "replay_events_per_s": 35_378.0,
-    "replay_invocations_per_s": 2_428.0,
-    "replay_peak_rss_mib": 71.18,
+             "before the pooled-payload rewrite; 2-vCPU x86 VM, Python "
+             "3.11.7, medians of 3 interleaved rounds"),
+    "generic_churn_small_ev_per_s": 312_888.0,
+    "generic_churn_10k_ev_per_s": 195_415.0,
+    "generic_churn_500k_ev_per_s": 262_587.0,
+    "process_churn_ev_per_s": 257_981.0,
+    "zero_delay_cascade_ev_per_s": 235_384.0,
+    "mixed_cascade_ev_per_s": 207_259.0,
+    "replay_events_per_s": 34_868.0,
+    "replay_invocations_per_s": 2_393.0,
+    "replay_peak_rss_mib": 73.94,
 }
 
 #: Conservative CI floors (events/sec) for --des-smoke: far below the
