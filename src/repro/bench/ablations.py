@@ -14,18 +14,18 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional
+from typing import Dict, Optional
 
-from repro.bench.harness import (fresh_platform, install_all, invoke_once)
+from repro.bench.harness import (closed_loop_replay, fresh_platform,
+                                 install_all, invoke_once,
+                                 poisson_replay_trace, replay_specs)
 from repro.config import CalibratedParameters, default_parameters
 from repro.core.fireworks import FireworksPlatform
 from repro.platforms.base import MODE_COLD, MODE_WARM
 from repro.platforms.openwhisk import OpenWhiskPlatform
-from repro.sim.rng import RngStreams
 from repro.snapshot.restorer import (POLICY_DEMAND, POLICY_DEMAND_COLD,
                                      POLICY_REAP)
 from repro.workloads.faasdom import faasdom_spec
-from repro.workloads.generator import (assign_popularity, poisson_trace)
 from repro.workloads.serverlessbench import alexa_skills_chain
 
 
@@ -137,6 +137,13 @@ class PolicyComparison:
     fireworks_image_cache_mb: float
 
 
+def _image_cache_mb(fireworks) -> float:
+    """Clean page-cache copies of the snapshot images, in MiB."""
+    return sum(report.image.size_mb
+               for report in fireworks.install_reports.values()
+               if report.image.materialized)
+
+
 def run_policy_comparison(params: Optional[CalibratedParameters] = None,
                           n_functions: int = 16,
                           duration_ms: float = 1_800_000.0,
@@ -147,45 +154,24 @@ def run_policy_comparison(params: Optional[CalibratedParameters] = None,
     time, paying cold starts and holding idle memory; Fireworks pays its
     flat snapshot-resume cost for everyone.
     """
-    rng = RngStreams(seed)
-    function_names = [f"fn-{i:02d}" for i in range(n_functions)]
-    popularity = assign_popularity(function_names, rng)
-    trace = poisson_trace(popularity, duration_ms, rng)
-
-    base_spec = faasdom_spec("faas-netlatency", "nodejs")
-    specs = {name: base_spec.__class__(
-        name=name, language=base_spec.language, app=base_spec.app,
-        make_program=base_spec.make_program, source=base_spec.source,
-        description=base_spec.description,
-        benchmark_suite=base_spec.benchmark_suite)
-        for name in function_names}
+    function_names, trace = poisson_replay_trace(n_functions, duration_ms,
+                                                 seed)
+    specs = replay_specs(function_names)
 
     # OpenWhisk replay.
     ow = fresh_platform(OpenWhiskPlatform, params)
-    install_all(ow, specs.values())
-    ow_latencies: List[float] = []
-    for event in trace:
-        if ow.sim.now < event.at_ms:
-            ow.sim.run(until=event.at_ms)
-        record = invoke_once(ow, event.function)
-        ow_latencies.append(record.total_ms)
+    install_all(ow, specs)
+    ow_latencies = closed_loop_replay(ow, trace).latencies
     # End-of-trace idle memory: every live warm container is waiting memory.
     ow_idle_mb = ow.host_memory.used_mb
     warm_rate = ow.warm_starts / max(1, ow.warm_starts + ow.cold_starts)
 
     # Fireworks replay.
     fw = fresh_platform(FireworksPlatform, params)
-    install_all(fw, specs.values())
-    fw_latencies: List[float] = []
-    for event in trace:
-        if fw.sim.now < event.at_ms:
-            fw.sim.run(until=event.at_ms)
-        record = invoke_once(fw, event.function)
-        fw_latencies.append(record.total_ms)
+    install_all(fw, specs)
+    fw_latencies = closed_loop_replay(fw, trace).latencies
     fw.sim.run()  # drain clone teardowns
-    image_cache_mb = sum(
-        report.image.size_mb for report in fw.install_reports.values()
-        if report.image.materialized)
+    image_cache_mb = _image_cache_mb(fw)
     fw_idle_mb = fw.host_memory.used_mb - image_cache_mb
 
     return PolicyComparison(
@@ -311,26 +297,15 @@ def run_keepalive_policy_comparison(
     from repro.platforms.keepalive import (FixedKeepAlive,
                                            HybridHistogramKeepAlive)
 
-    rng = RngStreams(seed)
-    function_names = [f"fn-{index:02d}" for index in range(n_functions)]
-    popularity = assign_popularity(function_names, rng)
-    trace = poisson_trace(popularity, duration_ms, rng)
-
-    base_spec = faasdom_spec("faas-netlatency", "nodejs")
-    specs = [base_spec.__class__(
-        name=name, language=base_spec.language, app=base_spec.app,
-        make_program=base_spec.make_program, source=base_spec.source,
-        description=base_spec.description) for name in function_names]
+    function_names, trace = poisson_replay_trace(n_functions, duration_ms,
+                                                 seed)
+    specs = replay_specs(function_names)
 
     def replay_openwhisk(label: str, policy) -> KeepAliveOutcome:
         platform = fresh_platform(OpenWhiskPlatform, params,
                                   keepalive_policy=policy)
         install_all(platform, specs)
-        latencies: List[float] = []
-        for event in trace:
-            if platform.sim.now < event.at_ms:
-                platform.sim.run(until=event.at_ms)
-            latencies.append(invoke_once(platform, event.function).total_ms)
+        latencies = closed_loop_replay(platform, trace).latencies
         total = platform.warm_starts + platform.cold_starts
         # Idle memory: let the fleet settle 3 minutes past the last
         # request, then run the periodic reaper.
@@ -352,17 +327,9 @@ def run_keepalive_policy_comparison(
 
     fireworks = fresh_platform(FireworksPlatform, params)
     install_all(fireworks, specs)
-    fw_latencies: List[float] = []
-    for event in trace:
-        if fireworks.sim.now < event.at_ms:
-            fireworks.sim.run(until=event.at_ms)
-        fw_latencies.append(
-            invoke_once(fireworks, event.function).total_ms)
+    fw_latencies = closed_loop_replay(fireworks, trace).latencies
     fireworks.sim.run()
-    image_cache_mb = sum(
-        report.image.size_mb
-        for report in fireworks.install_reports.values()
-        if report.image.materialized)
+    image_cache_mb = _image_cache_mb(fireworks)
     results["fireworks"] = KeepAliveOutcome(
         label="fireworks",
         mean_latency_ms=sum(fw_latencies) / len(fw_latencies),

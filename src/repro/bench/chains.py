@@ -35,7 +35,7 @@ from repro.autoscale import WarmPoolAutoscaler
 from repro.bench.harness import fresh_cluster_platform
 from repro.bench.load import (DEFAULT_CAPACITY_PER_HOST, DEFAULT_KEEPALIVE_MS,
                               DEFAULT_N_HOSTS, DEFAULT_SEED, LOAD_PLATFORMS,
-                              _empty_latency, _tuned_params)
+                              _empty_latency, _tuned_params, attach_chaos)
 from repro.bench.stats import LatencyStats
 from repro.config import CalibratedParameters
 from repro.errors import ValidationError
@@ -292,12 +292,7 @@ def run_chains_platform(
     WarmPoolAutoscaler(platform, mode=autoscale_mode,
                        until_ms=start_ms + duration_ms)
     if chaos_plan is not None:
-        from repro.chaos import HostFailureController
-        from repro.chaos.plan import ChaosPlan
-        shifted = ChaosPlan([
-            dataclasses.replace(event, at_ms=start_ms + event.at_ms)
-            for event in chaos_plan.events])
-        HostFailureController(platform, shifted, failover=True)
+        attach_chaos(platform, chaos_plan, start_ms)
 
     runs: List[DagRun] = []
     for index, event in enumerate(trace):

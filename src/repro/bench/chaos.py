@@ -27,24 +27,20 @@ derive from *seed*, so two identically-seeded runs are byte-identical.
 from __future__ import annotations
 
 import dataclasses
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Optional, Sequence, Tuple
 
-from repro.bench.cluster import (KEEPALIVE_MS, POPULAR_INTERARRIVAL_MS,
-                                 RARE_INTERARRIVAL_MS)
-from repro.bench.harness import (fresh_cluster_platform, install_all,
-                                 invoke_once)
+from repro.bench.cluster import cluster_replay_setup
+from repro.bench.harness import (ReplayLedger, closed_loop_replay,
+                                 fresh_cluster_platform, install_all,
+                                 replay_specs)
 from repro.bench.stats import LatencyStats
 from repro.chaos import (KIND_BUS_PARTITION, KIND_HOST_CRASH, ChaosEvent,
                          ChaosPlan, HostFailureController)
-from repro.config import CalibratedParameters, default_parameters
+from repro.config import CalibratedParameters
 from repro.core.fireworks import FireworksPlatform
-from repro.errors import InvocationFailedError
 from repro.faults import FaultInjector
 from repro.platforms.scheduler import (POLICY_ROUND_ROBIN,
                                        POLICY_SNAPSHOT_LOCALITY, home_index)
-from repro.sim.rng import RngStreams
-from repro.workloads.faasdom import faasdom_spec
-from repro.workloads.generator import assign_popularity, poisson_trace
 
 #: Mid-trace crash: late enough that warm state and locality built up,
 #: early enough that recovery behaviour dominates the remaining half.
@@ -97,26 +93,11 @@ class ChaosOutcome:
                 f"regen={self.regenerations:2d}")
 
 
-def _chaos_replay(platform, trace) -> Tuple[List[float], int]:
-    """Replay *trace*; failed invocations are counted, not raised."""
-    latencies: List[float] = []
-    failed = 0
-    for event in trace:
-        if platform.sim.now < event.at_ms:
-            platform.sim.run(until=event.at_ms)
-        try:
-            record = invoke_once(platform, event.function)
-            latencies.append(record.total_ms)
-        except InvocationFailedError:
-            failed += 1
-    return latencies, failed
-
-
-def _recovery_ms(platform, crash_at_ms: float) -> float:
+def _recovery_ms(ledger: ReplayLedger, crash_at_ms: float) -> float:
     """Crash-to-first-completion among requests submitted after it."""
-    post = [record.completed_ms for record in platform.records
-            if record.submitted_ms >= crash_at_ms
-            and record.completed_ms is not None]
+    post = [completed for submitted, completed
+            in zip(ledger.submitted, ledger.completed)
+            if submitted >= crash_at_ms]
     if not post:
         return -1.0
     return min(post) - crash_at_ms
@@ -152,26 +133,9 @@ def run_chaos_experiment(
     by placement policy and by whether platform failover (snapshot
     regeneration) is enabled.
     """
-    resolved = params or default_parameters()
-    tuned = dataclasses.replace(
-        resolved, control_plane=dataclasses.replace(
-            resolved.control_plane, warm_keepalive_ms=KEEPALIVE_MS))
-
-    rng = RngStreams(seed)
-    function_names = [f"fn-{i:02d}" for i in range(n_functions)]
-    popularity = assign_popularity(
-        function_names, rng,
-        popular_interarrival_ms=POPULAR_INTERARRIVAL_MS,
-        rare_interarrival_ms=RARE_INTERARRIVAL_MS)
-    trace = poisson_trace(popularity, duration_ms, rng)
-
-    base_spec = faasdom_spec("faas-netlatency", "nodejs")
-    specs = [base_spec.__class__(
-        name=name, language=base_spec.language, app=base_spec.app,
-        make_program=base_spec.make_program, source=base_spec.source,
-        description=base_spec.description,
-        benchmark_suite=base_spec.benchmark_suite)
-        for name in function_names]
+    tuned, function_names, trace = cluster_replay_setup(
+        params, n_functions, duration_ms, seed)
+    specs = replay_specs(function_names)
 
     if crash_host is None:
         crash_host = default_crash_host(function_names, n_hosts)
@@ -202,7 +166,7 @@ def run_chaos_experiment(
         faults.arm("restore", function_names[0], count=1)
         HostFailureController(platform, plan, failover=failover)
 
-        latencies, failed = _chaos_replay(platform, trace)
+        ledger = closed_loop_replay(platform, trace)
         platform.sim.run()  # drain clone teardowns + chaos reclamation
         outcomes[label] = ChaosOutcome(
             label=label,
@@ -212,10 +176,10 @@ def run_chaos_experiment(
             crash_host=crash_host,
             crash_at_ms=crash_at_ms,
             requests=len(trace),
-            completed=len(latencies),
-            failed=failed,
-            latency=LatencyStats.from_samples(latencies),
-            recovery_ms=_recovery_ms(platform, crash_at_ms),
+            completed=len(ledger.latencies),
+            failed=len(platform.failed_invocations),
+            latency=LatencyStats.from_samples(ledger.latencies),
+            recovery_ms=_recovery_ms(ledger, crash_at_ms),
             retries=platform.retries,
             failovers=platform.failovers,
             regenerations=platform.regenerations)

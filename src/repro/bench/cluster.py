@@ -21,18 +21,16 @@ revisit period (one host, ~30 s for a popular function) and round-robin's
 from __future__ import annotations
 
 import dataclasses
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Tuple
 
-from repro.bench.harness import (fresh_cluster_platform, install_all,
-                                 invoke_once)
+from repro.bench.harness import (closed_loop_replay, fresh_cluster_platform,
+                                 install_all, poisson_replay_trace,
+                                 replay_specs)
 from repro.bench.stats import LatencyStats
 from repro.config import CalibratedParameters, default_parameters
 from repro.core.fireworks import FireworksPlatform
 from repro.platforms.openwhisk import OpenWhiskPlatform
 from repro.policy import default_registry
-from repro.sim.rng import RngStreams
-from repro.workloads.faasdom import faasdom_spec
-from repro.workloads.generator import assign_popularity, poisson_trace
 
 #: Keep-alive window for the OpenWhisk replay: longer than a popular
 #: function's ~30 s inter-arrival (hash stays warm), shorter than the
@@ -64,15 +62,20 @@ class ClusterPolicyOutcome:
                 f"spread={self.load_spread}")
 
 
-def _replay(platform, trace) -> List[float]:
-    """Replay *trace* on *platform*, verifying every invocation."""
-    latencies: List[float] = []
-    for event in trace:
-        if platform.sim.now < event.at_ms:
-            platform.sim.run(until=event.at_ms)
-        record = invoke_once(platform, event.function)
-        latencies.append(record.total_ms)
-    return latencies
+def cluster_replay_setup(params: Optional[CalibratedParameters],
+                         n_functions: int, duration_ms: float, seed: int
+                         ) -> Tuple[CalibratedParameters, List[str], list]:
+    """The keep-alive-tuned parameters, the function names and the
+    popular/rare Poisson trace every cluster replay runs."""
+    resolved = params or default_parameters()
+    tuned = dataclasses.replace(
+        resolved, control_plane=dataclasses.replace(
+            resolved.control_plane, warm_keepalive_ms=KEEPALIVE_MS))
+    function_names, trace = poisson_replay_trace(
+        n_functions, duration_ms, seed,
+        popular_interarrival_ms=POPULAR_INTERARRIVAL_MS,
+        rare_interarrival_ms=RARE_INTERARRIVAL_MS)
+    return tuned, function_names, trace
 
 
 def run_cluster_scheduling(
@@ -94,26 +97,9 @@ def run_cluster_scheduling(
     else:
         for policy in policies:
             registry.entry("placement", policy)   # fail fast on unknowns
-    resolved = params or default_parameters()
-    tuned = dataclasses.replace(
-        resolved, control_plane=dataclasses.replace(
-            resolved.control_plane, warm_keepalive_ms=KEEPALIVE_MS))
-
-    rng = RngStreams(seed)
-    function_names = [f"fn-{i:02d}" for i in range(n_functions)]
-    popularity = assign_popularity(
-        function_names, rng,
-        popular_interarrival_ms=POPULAR_INTERARRIVAL_MS,
-        rare_interarrival_ms=RARE_INTERARRIVAL_MS)
-    trace = poisson_trace(popularity, duration_ms, rng)
-
-    base_spec = faasdom_spec("faas-netlatency", "nodejs")
-    specs = [base_spec.__class__(
-        name=name, language=base_spec.language, app=base_spec.app,
-        make_program=base_spec.make_program, source=base_spec.source,
-        description=base_spec.description,
-        benchmark_suite=base_spec.benchmark_suite)
-        for name in function_names]
+    tuned, function_names, trace = cluster_replay_setup(
+        params, n_functions, duration_ms, seed)
+    specs = replay_specs(function_names)
 
     outcomes: Dict[str, ClusterPolicyOutcome] = {}
     for policy in policies:
@@ -121,14 +107,14 @@ def run_cluster_scheduling(
         ow = fresh_cluster_platform(OpenWhiskPlatform, tuned,
                                     n_hosts=n_hosts, policy=policy)
         install_all(ow, specs)
-        _replay(ow, trace)
+        closed_loop_replay(ow, trace)
         warm_rate = ow.warm_starts / max(1, ow.warm_starts + ow.cold_starts)
 
         # Fireworks replay: host-local snapshot images.
         fw = fresh_cluster_platform(FireworksPlatform, tuned,
                                     n_hosts=n_hosts, policy=policy)
         install_all(fw, specs)
-        fw_latencies = _replay(fw, trace)
+        fw_latencies = closed_loop_replay(fw, trace).latencies
         fw.sim.run()  # drain clone teardowns
         restores = fw.local_restores + fw.cross_host_transfers
         outcomes[policy] = ClusterPolicyOutcome(

@@ -13,21 +13,24 @@ The engine:
   them inline (``jobs == 1``), then **merges deterministically** — shard
   results are combined in registry order, never completion order, so serial
   and parallel runs produce identical results;
-* persists each shard's result as JSON under ``.repro-cache/``, keyed by a
+* persists each shard's result under ``.repro-cache/``, keyed by a
   content hash of ``(experiment id, shard id, canonical hash of
-  CalibratedParameters, seed, repro version, shard kwargs)`` — a rerun with
-  the same calibration is a pure cache read;
+  CalibratedParameters, seed, repro version, shard kwargs, code
+  fingerprint)`` — a rerun of the same code with the same calibration is a
+  pure cache read;
 * round-trips *every* result (fresh or cached, serial or parallel) through
   the loss-free codec in :mod:`repro.bench.serialization`, so the cache-hit
   path cannot diverge from the compute path.
 
 Invalidation is by key construction: changing any calibrated constant, the
-seed, or the package version changes the key, and stale entries are simply
+seed, the package version, or any source file (see
+:func:`code_fingerprint`) changes the key, and stale entries are simply
 never read again (``prune()`` deletes entries whose key no longer matches).
 """
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import logging
@@ -517,14 +520,31 @@ def experiment_ids() -> Tuple[str, ...]:
 # ---------------------------------------------------------------------------
 # Content-addressed result cache
 # ---------------------------------------------------------------------------
+@functools.lru_cache(maxsize=None)
+def code_fingerprint() -> str:
+    """sha256 over the ``repro`` package's ``.py`` sources and the shipped
+    policy documents (chains shards read them), so a result computed by
+    other code is never served.  Computed once per process: every shard's
+    key needs it on every pass."""
+    from repro.policy import shipped_policy_dir
+    digest = hashlib.sha256()
+    for root, pattern in ((Path(__file__).resolve().parent.parent, "*.py"),
+                          (Path(shipped_policy_dir()), "*")):
+        for path in sorted(root.rglob(pattern)):
+            if path.is_file():
+                digest.update(f"{root.name}/"
+                              f"{path.relative_to(root).as_posix()}\0"
+                              .encode("utf-8"))
+                digest.update(path.read_bytes())
+    return digest.hexdigest()
+
+
 class ResultCache:
     """Shard results under *root*, addressed by content hash.
 
     Entries are written in the compact binary format
-    (:func:`repro.bench.serialization.dumps_result`) as ``<key>.bin``;
-    pre-rewrite ``<key>.json`` entries are still read as a legacy
-    fallback, so an existing cache survives the upgrade.  Corruption in
-    either format is a miss, never an error.
+    (:func:`repro.bench.serialization.dumps_result`) as ``<key>.bin``.
+    A corrupt entry is a miss, never an error.
 
     The key bakes in everything a shard's output depends on; see the module
     docstring for the invalidation story.
@@ -543,6 +563,7 @@ class ResultCache:
         material = json.dumps({
             "schema": CACHE_SCHEMA_VERSION,
             "version": __version__,
+            "code": code_fingerprint(),
             "experiment": shard.experiment,
             "shard": shard.key,
             "fn": shard.fn,
@@ -555,40 +576,24 @@ class ResultCache:
     def _path(self, shard: Shard, key: str) -> Path:
         return self.root / shard.experiment / f"{key}.bin"
 
-    def _legacy_path(self, shard: Shard, key: str) -> Path:
-        return self.root / shard.experiment / f"{key}.json"
-
     def _read_entry(self, shard: Shard, key: str) -> Optional[Dict]:
-        """The entry dict from disk (binary first, then legacy JSON)."""
+        """The entry dict from disk, or None if missing or corrupt."""
         try:
             entry = loads_result(self._path(shard, key).read_bytes())
-            if isinstance(entry, dict):
-                return entry
         except (OSError, ReproError):
-            pass
-        try:
-            entry = json.loads(self._legacy_path(shard, key).read_text())
-            if isinstance(entry, dict):
-                return entry
-        except (OSError, ValueError):
-            pass
-        return None
+            return None
+        return entry if isinstance(entry, dict) else None
 
     def load(self, shard: Shard, fingerprint: str, seed: int
              ) -> Optional[Any]:
         """The cached encoded payload, or None on miss/corruption."""
         entry = self._read_entry(shard, self.key(shard, fingerprint, seed))
-        if entry is None or entry.get("schema") != CACHE_SCHEMA_VERSION:
+        if (entry is None or entry.get("schema") != CACHE_SCHEMA_VERSION
+                or "result" not in entry):
             self.misses += 1
             return None
         self.hits += 1
-        if "payload" in entry:       # legacy JSON entry: already encoded
-            return entry["payload"]
-        if "result" not in entry:    # malformed: treat as a miss
-            self.hits -= 1
-            self.misses += 1
-            return None
-        # Binary entries store the *decoded* result (the binary codec
+        # Entries store the *decoded* result (the binary codec
         # encodes dataclasses natively and positionally — far more
         # compact than the tagged JSON form); re-encode to keep load()'s
         # contract.  encode/decode are exact inverses, so the cache-hit
@@ -616,24 +621,17 @@ class ResultCache:
 
     def prune(self, params: Optional[CalibratedParameters] = None,
               seed: int = DEFAULT_SEED) -> int:
-        """Delete entries not reachable from the current registry/params.
-
-        Both binary and legacy-JSON entries at a live key survive; every
-        other ``.bin``/``.json`` file under the root is removed.
-        """
+        """Delete every file under the root that is not a live entry: one
+        reachable from the current registry, parameters and code."""
         fingerprint = params_fingerprint(params or default_parameters())
-        live = set()
-        for definition in experiment_registry().values():
-            for shard in definition.shards:
-                key = self.key(shard, fingerprint, seed)
-                live.add(str(self._path(shard, key)))
-                live.add(str(self._legacy_path(shard, key)))
+        live = {self._path(shard, self.key(shard, fingerprint, seed))
+                for definition in experiment_registry().values()
+                for shard in definition.shards}
         removed = 0
-        for pattern in ("*/*.bin", "*/*.json"):
-            for path in self.root.glob(pattern):
-                if str(path) not in live:
-                    path.unlink()
-                    removed += 1
+        for path in self.root.rglob("*"):
+            if path.is_file() and path not in live:
+                path.unlink()
+                removed += 1
         return removed
 
 
@@ -841,6 +839,7 @@ __all__ = [
     "SENSITIVITY_SUITE",
     "Shard",
     "ShardEvent",
+    "code_fingerprint",
     "experiment_ids",
     "experiment_registry",
     "resolve_ids",

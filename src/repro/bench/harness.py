@@ -1,12 +1,16 @@
-"""Shared experiment plumbing: build a platform, install, invoke, measure."""
+"""Shared experiment plumbing: build a platform, install, invoke, measure,
+and replay a trace closed loop."""
 
 from __future__ import annotations
 
-from typing import Iterable, Optional, Tuple, Type
+import dataclasses
+from array import array
+from typing import Iterable, List, Optional, Tuple, Type
 
 from repro.cluster.host import Cluster
 from repro.config import CalibratedParameters, default_parameters
 from repro.core.fireworks import FireworksPlatform
+from repro.errors import InvocationFailedError
 from repro.platforms.base import (MODE_AUTO, MODE_COLD, MODE_WARM,
                                   InvocationRecord, ServerlessPlatform)
 from repro.platforms.firecracker import (FirecrackerPlatform,
@@ -15,8 +19,12 @@ from repro.platforms.gvisor_platform import GVisorPlatform
 from repro.platforms.openwhisk import OpenWhiskPlatform
 from repro.platforms.scheduler import POLICY_HASH
 from repro.sim.kernel import Simulation
+from repro.sim.rng import RngStreams
 from repro.trace import verify_invocation
 from repro.workloads.base import ChainSpec, FunctionSpec
+from repro.workloads.faasdom import faasdom_spec
+from repro.workloads.generator import (TraceEvent, assign_popularity,
+                                       poisson_trace)
 
 def fresh_platform(platform_cls: Type[ServerlessPlatform],
                    params: Optional[CalibratedParameters] = None,
@@ -71,6 +79,77 @@ def invoke_once(platform: ServerlessPlatform, name: str,
     return record
 
 
+@dataclasses.dataclass
+class ReplayLedger:
+    """What a replay keeps of its run: the warm-memory samples (open loop
+    only) and, per completed invocation in completion order, the four
+    fields the outcomes read.  Nothing else of an invocation needs to
+    outlive it, so replay memory does not grow with the trace length."""
+
+    samples: array = dataclasses.field(default_factory=lambda: array("d"))
+    latencies: array = dataclasses.field(default_factory=lambda: array("d"))
+    waits: array = dataclasses.field(default_factory=lambda: array("d"))
+    submitted: array = dataclasses.field(default_factory=lambda: array("d"))
+    completed: array = dataclasses.field(default_factory=lambda: array("d"))
+    warm_starts: int = 0
+
+    def add(self, record: InvocationRecord) -> None:
+        """Fold one completed invocation's record in."""
+        self.latencies.append(record.total_ms)
+        self.waits.append(record.queue_wait_ms)
+        self.submitted.append(record.submitted_ms)
+        self.completed.append(record.completed_ms)
+        if record.mode == MODE_WARM:
+            self.warm_starts += 1
+
+
+def closed_loop_replay(platform: ServerlessPlatform,
+                       trace: Iterable[TraceEvent]) -> ReplayLedger:
+    """Replay *trace* closed loop and return the run's ledger.
+
+    Each event fires at its absolute ``at_ms`` (or as soon as the previous
+    invocation returns, if that is later) and runs to completion through
+    :func:`invoke_once`, so every invocation is trace-verified.  A failed
+    invocation is counted on the platform's ``failed_invocations`` and the
+    replay goes on.  The replay streams: it turns the platform's
+    ``keep_history`` off, so no record or span tree outlives its
+    invocation; the records and roots kept before it (installs) are
+    dropped too.  Draining the simulation afterwards is the caller's call.
+    """
+    sim = platform.sim
+    platform.keep_history = False
+    platform.records.clear()
+    sim.tracer.clear()
+    ledger = ReplayLedger()
+    for event in trace:
+        if sim.now < event.at_ms:
+            sim.run(until=event.at_ms)
+        try:
+            ledger.add(invoke_once(platform, event.function))
+        except InvocationFailedError:
+            pass
+    return ledger
+
+
+def replay_specs(names: Iterable[str]) -> List[FunctionSpec]:
+    """One spec per name, each a copy of the Node.js faas-netlatency
+    function: the stand-in every trace replay installs."""
+    base = faasdom_spec("faas-netlatency", "nodejs")
+    return [dataclasses.replace(base, name=name) for name in names]
+
+
+def poisson_replay_trace(n_functions: int, duration_ms: float, seed: int,
+                         **popularity) -> Tuple[List[str], List[TraceEvent]]:
+    """The ``fn-NN`` function names and a Poisson trace over them, with
+    the popular/rare split of :func:`assign_popularity` (*popularity*
+    overrides its inter-arrival times)."""
+    rng = RngStreams(seed)
+    names = [f"fn-{index:02d}" for index in range(n_functions)]
+    trace = poisson_trace(assign_popularity(names, rng, **popularity),
+                          duration_ms, rng)
+    return names, trace
+
+
 def provision_warm(platform: ServerlessPlatform, name: str) -> None:
     """Pre-provision a warm sandbox per §5.1's methodology."""
     sim = platform.sim
@@ -114,6 +193,8 @@ __all__ = [
     "FireworksPlatform",
     "GVisorPlatform",
     "OpenWhiskPlatform",
+    "ReplayLedger",
+    "closed_loop_replay",
     "cold_and_warm",
     "drain",
     "fireworks_invocation",
@@ -122,5 +203,7 @@ __all__ = [
     "install_all",
     "install_chain",
     "invoke_once",
+    "poisson_replay_trace",
     "provision_warm",
+    "replay_specs",
 ]

@@ -29,12 +29,13 @@ from array import array
 from typing import Dict, Optional, Sequence, Tuple
 
 from repro.autoscale import WarmPoolAutoscaler
-from repro.bench.harness import fresh_cluster_platform, install_all
+from repro.bench.harness import (ReplayLedger, fresh_cluster_platform,
+                                 install_all, replay_specs)
 from repro.bench.stats import LatencyStats, percentile
+from repro.chaos import ChaosPlan, HostFailureController
 from repro.config import CalibratedParameters, default_parameters
 from repro.core.fireworks import FireworksPlatform
 from repro.errors import InvocationFailedError, InvocationSheddedError
-from repro.platforms.base import MODE_WARM, InvocationRecord
 from repro.platforms.catalyzer import CatalyzerPlatform
 from repro.platforms.firecracker import FirecrackerPlatform
 from repro.platforms.gvisor_platform import GVisorPlatform
@@ -42,7 +43,6 @@ from repro.platforms.openwhisk import OpenWhiskPlatform
 from repro.platforms.scheduler import POLICY_HASH
 from repro.policy import default_registry
 from repro.sim.rng import RngStreams
-from repro.workloads.faasdom import faasdom_spec
 from repro.workloads.generator import (assign_popularity,
                                        modulated_poisson_trace)
 
@@ -134,26 +134,6 @@ def _empty_latency() -> LatencyStats:
                         p99_ms=0.0, max_ms=0.0)
 
 
-@dataclasses.dataclass
-class ReplayLedger:
-    """What a replay keeps of its run: the warm-memory samples and, per
-    completed invocation in completion order, the three fields the
-    outcome reads.  Nothing else of an invocation needs to outlive it, so
-    replay memory does not grow with the trace length."""
-
-    samples: array = dataclasses.field(default_factory=lambda: array("d"))
-    latencies: array = dataclasses.field(default_factory=lambda: array("d"))
-    waits: array = dataclasses.field(default_factory=lambda: array("d"))
-    warm_starts: int = 0
-
-    def add(self, record: InvocationRecord) -> None:
-        """Fold one completed invocation's record in."""
-        self.latencies.append(record.total_ms)
-        self.waits.append(record.queue_wait_ms)
-        if record.mode == MODE_WARM:
-            self.warm_starts += 1
-
-
 def _submit(platform, function: str, ledger: ReplayLedger):
     """One open-loop submission: sheds and failures are accounted on the
     platform (``shedded_invocations`` / ``failed_invocations``), never
@@ -237,14 +217,14 @@ def build_load_trace(n_functions: int, duration_ms: float, seed: int,
     return function_names, trace
 
 
-def _load_specs(function_names: Sequence[str]):
-    base_spec = faasdom_spec("faas-netlatency", "nodejs")
-    return [base_spec.__class__(
-        name=name, language=base_spec.language, app=base_spec.app,
-        make_program=base_spec.make_program, source=base_spec.source,
-        description=base_spec.description,
-        benchmark_suite=base_spec.benchmark_suite)
-        for name in function_names]
+def attach_chaos(platform, chaos_plan: ChaosPlan, start_ms: float) -> None:
+    """Attach a failover-enabled :class:`HostFailureController` running
+    *chaos_plan*, whose times are relative to *start_ms* like the
+    trace's."""
+    shifted = ChaosPlan([
+        dataclasses.replace(event, at_ms=start_ms + event.at_ms)
+        for event in chaos_plan.events])
+    HostFailureController(platform, shifted, failover=True)
 
 
 def _tuned_params(params: Optional[CalibratedParameters],
@@ -301,7 +281,7 @@ def run_load_platform(
     platform = fresh_cluster_platform(
         LOAD_PLATFORMS[platform_name], tuned, seed=seed, n_hosts=n_hosts,
         policy=placement_policy, capacity_per_host=capacity_per_host)
-    install_all(platform, _load_specs(function_names))
+    install_all(platform, replay_specs(function_names))
     # Installs advance the clock; the replay (and the scaler's control
     # loop) run over [start, start + duration].
     start_ms = platform.sim.now
@@ -309,13 +289,7 @@ def run_load_platform(
                                 until_ms=start_ms + duration_ms,
                                 policy=autoscale_policy)
     if chaos_plan is not None:
-        from repro.chaos import HostFailureController
-        from repro.chaos.plan import ChaosPlan
-        # Plan times are trace-relative, like the trace itself.
-        shifted = ChaosPlan([
-            dataclasses.replace(event, at_ms=start_ms + event.at_ms)
-            for event in chaos_plan.events])
-        HostFailureController(platform, shifted, failover=True)
+        attach_chaos(platform, chaos_plan, start_ms)
 
     # Stream the replay: nothing reads its records or span trees.
     platform.keep_history = False

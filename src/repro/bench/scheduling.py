@@ -10,17 +10,17 @@ starts.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional
+from typing import Dict, Optional
 
-from repro.bench.harness import (fresh_cluster_platform, install_all,
-                                 invoke_once)
+from repro.bench.harness import (closed_loop_replay, fresh_cluster_platform,
+                                 install_all, replay_specs)
 from repro.bench.stats import LatencyStats
 from repro.config import CalibratedParameters
 from repro.platforms.openwhisk import OpenWhiskPlatform
 from repro.platforms.scheduler import (POLICY_HASH, POLICY_LEAST_LOADED,
                                        POLICY_ROUND_ROBIN)
 from repro.policy import default_registry
-from repro.workloads.faasdom import faasdom_spec
+from repro.workloads.generator import TraceEvent
 
 #: The policies this figure compares (registry-validated at import).
 SCHEDULING_POLICIES = (POLICY_ROUND_ROBIN, POLICY_LEAST_LOADED, POLICY_HASH)
@@ -60,14 +60,10 @@ def run_scheduling_comparison(
     registry = default_registry()
     for policy in policies:
         registry.entry("placement", policy)   # fail fast on unknown names
-    base = faasdom_spec("faas-netlatency", "nodejs")
-    specs = [
-        base.__class__(
-            name=f"fn-{index:02d}", language=base.language, app=base.app,
-            make_program=base.make_program, source=base.source,
-            description=base.description)
-        for index in range(n_functions)
-    ]
+    specs = replay_specs(f"fn-{index:02d}" for index in range(n_functions))
+    # Every event is due at once, so each fires when the previous returns.
+    trace = [TraceEvent(0.0, spec.name)
+             for _round in range(rounds) for spec in specs]
 
     results: Dict[str, PolicyResult] = {}
     for policy in policies:
@@ -75,11 +71,7 @@ def run_scheduling_comparison(
             OpenWhiskPlatform, params, n_hosts=nodes, policy=policy,
             capacity_per_host=capacity_per_node)
         install_all(platform, specs)
-        latencies: List[float] = []
-        for _round in range(rounds):
-            for spec in specs:
-                record = invoke_once(platform, spec.name)
-                latencies.append(record.total_ms)
+        latencies = closed_loop_replay(platform, trace).latencies
         total = platform.warm_starts + platform.cold_starts
         results[policy] = PolicyResult(
             policy=policy,

@@ -1,4 +1,4 @@
-"""Loss-free codecs for experiment results: compact binary + legacy JSON.
+"""Loss-free codecs for experiment results: compact binary + tagged JSON.
 
 The parallel engine ships every shard result between processes — and in and
 out of the on-disk result cache.  For the engine's determinism guarantee
@@ -20,9 +20,9 @@ version header, then a tagged recursive encoding built on :mod:`struct`:
 * dataclasses are encoded positionally against the registered field order,
   so a record costs its payload bytes, not its field names.
 
-**JSON codec** (:func:`encode_result` / :func:`decode_result`) — retained
-both as the legacy on-disk format (pre-rewrite cache entries still load)
-and as the process-pool wire form.  Encoded forms:
+**JSON codec** (:func:`encode_result` / :func:`decode_result`) — the
+process-pool wire form and the CLI and service output edge.  Encoded
+forms:
 
 * dataclass  -> ``{"$dc": "<registered name>", "fields": {...}}``
 * dict       -> ``{"$map": [[key, value], ...]}`` (insertion order kept)

@@ -1,4 +1,4 @@
-"""Placement policies and the invoker pool (the backend of Figure 1).
+"""Placement policies (the backend of Figure 1).
 
 Figure 1's controller relays requests "to one of the backend servers" —
 the invokers.  Which server a request lands on matters because per-node
@@ -7,8 +7,8 @@ cache.  A scheduler that sprays requests (round-robin) keeps missing its
 own warm pools and snapshot stores, while OpenWhisk's actual scheme —
 hashing each function to a *home invoker* — concentrates state.
 
-Four policies, shared by :class:`InvokerPool` (the lightweight counting
-view) and :class:`repro.cluster.Cluster` (real hosts on the invoke path):
+Four policies, which :class:`repro.cluster.Cluster` applies to its real
+hosts on the invoke path through :func:`select_node`:
 
 * ``round-robin``       — spread blindly;
 * ``least-loaded``      — spread by instantaneous load;
@@ -24,8 +24,7 @@ view) and :class:`repro.cluster.Cluster` (real hosts on the invoke path):
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Optional, Sequence, Tuple
 
 from repro.errors import NoHostAvailableError, PlatformError
 
@@ -36,7 +35,6 @@ POLICY_SNAPSHOT_LOCALITY = "snapshot-locality"
 
 POLICIES = (POLICY_ROUND_ROBIN, POLICY_LEAST_LOADED, POLICY_HASH,
             POLICY_SNAPSHOT_LOCALITY)
-_POLICIES = POLICIES  # backward-compatible alias
 
 
 def home_index(function: str, n_nodes: int) -> int:
@@ -52,8 +50,7 @@ def select_node(nodes: Sequence, policy: str, function: str,
     """Pick a node for one request; returns ``(node, new_rr_cursor)``.
 
     *nodes* is any sequence of objects exposing ``node_id``, ``active``
-    and ``has_room`` (both :class:`InvokerNode` and
-    :class:`repro.cluster.Host` qualify).  *locality* is an optional
+    and ``has_room``, such as :class:`repro.cluster.Host`.  *locality* is an optional
     predicate marking nodes where the function's state is already
     resident; only the ``snapshot-locality`` policy consults it.  Raises
     :class:`NoHostAvailableError` (a :class:`PlatformError`) when every
@@ -98,90 +95,3 @@ def select_node(nodes: Sequence, policy: str, function: str,
         if node.has_room:
             return node, rr_cursor
     raise NoHostAvailableError("all invokers at capacity")
-
-
-@dataclass
-class InvokerNode:
-    """One backend server running sandboxes."""
-
-    node_id: int
-    capacity: int = 16            # concurrent sandboxes it can host
-    active: int = 0
-    assigned_total: int = 0
-    per_function: Dict[str, int] = field(default_factory=dict)
-
-    @property
-    def has_room(self) -> bool:
-        return self.active < self.capacity
-
-    def assign(self, function: str) -> None:
-        """Count one request onto this node; errors when full."""
-        if not self.has_room:
-            raise PlatformError(
-                f"invoker{self.node_id} over capacity "
-                f"({self.active}/{self.capacity})")
-        self.active += 1
-        self.assigned_total += 1
-        self.per_function[function] = \
-            self.per_function.get(function, 0) + 1
-
-    def release(self) -> None:
-        """Return a slot after the invocation finished."""
-        if self.active <= 0:
-            raise PlatformError(
-                f"invoker{self.node_id} released below zero")
-        self.active -= 1
-
-
-class InvokerPool:
-    """The controller's view of the invokers, with a pick policy."""
-
-    def __init__(self, nodes: int = 4, capacity_per_node: int = 16,
-                 policy: str = POLICY_HASH) -> None:
-        if nodes < 1:
-            raise PlatformError(f"need >= 1 invoker, got {nodes}")
-        if policy not in POLICIES:
-            raise PlatformError(f"unknown scheduling policy {policy!r}")
-        self.policy = policy
-        self.nodes: List[InvokerNode] = [
-            InvokerNode(node_id=index, capacity=capacity_per_node)
-            for index in range(nodes)]
-        self._rr_next = 0
-        self.rejected_assigns = 0   # select/assign capacity races absorbed
-
-    # -- policy ---------------------------------------------------------------
-    def pick(self, function: str,
-             locality: Optional[Callable[[InvokerNode], bool]] = None
-             ) -> InvokerNode:
-        """Choose (and assign to) an invoker for one request.
-
-        ``select_node`` and ``assign`` are two steps, and the *locality*
-        callback (or any re-entrant controller logic) can admit work in
-        between — so a selected node may be full by the time we assign.
-        That race is a queueable "no room" event, not a gateway crash:
-        re-select among the remaining nodes and raise
-        :class:`NoHostAvailableError` only when every node is full.
-        """
-        for _ in range(len(self.nodes)):
-            node, self._rr_next = select_node(
-                self.nodes, self.policy, function, self._rr_next, locality)
-            try:
-                node.assign(function)
-                return node
-            except PlatformError:
-                self.rejected_assigns += 1
-        raise NoHostAvailableError(
-            "all invokers at capacity (assign raced with select)")
-
-    def _home_index(self, function: str) -> int:
-        return home_index(function, len(self.nodes))
-
-    # -- stats -----------------------------------------------------------------
-    def total_active(self) -> int:
-        """Requests currently running across all nodes."""
-        return sum(node.active for node in self.nodes)
-
-    def load_spread(self) -> float:
-        """Max-min assigned_total across nodes (fairness measure)."""
-        totals = [node.assigned_total for node in self.nodes]
-        return max(totals) - min(totals)

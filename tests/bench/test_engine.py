@@ -3,7 +3,11 @@
 from __future__ import annotations
 
 import dataclasses
-import json
+import os
+import shutil
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -83,20 +87,34 @@ class TestDeterminism:
         second = run_experiments(["fig10"], cache_dir=cache_dir)
         assert second.results == first.results
 
-    def test_legacy_json_entry_still_loads(self, tmp_path):
-        """A pre-rewrite .json cache entry is read as a fallback."""
-        cache_dir = str(tmp_path / "cache")
-        first = run_experiments(["table2"], cache_dir=cache_dir)
-        entry = next((tmp_path / "cache" / "table2").glob("*.bin"))
-        stale = loads_result(entry.read_bytes())
-        # Rewrite the entry in the legacy JSON format (encoded payload
-        # under "payload") and drop the binary.
-        stale["payload"] = encode_result(stale.pop("result"))
-        entry.with_suffix(".json").write_text(json.dumps(stale))
-        entry.unlink()
-        again = run_experiments(["table2"], cache_dir=cache_dir)
-        assert again.stats.cache_hits == 1
-        assert again.results == first.results
+
+class TestCodeFingerprint:
+    """The cache key covers the code: a warm cache never serves a result
+    computed by other code."""
+
+    def test_editing_a_source_file_misses_the_cache(self, tmp_path):
+        import repro
+        from repro.policy import shipped_policy_dir
+        # Edit a copy of the package, never the tree under test.
+        tree = tmp_path / "tree"
+        shutil.copytree(Path(repro.__file__).parent, tree / "src" / "repro",
+                        ignore=shutil.ignore_patterns("__pycache__"))
+        shutil.copytree(shipped_policy_dir(), tree / "scenarios" / "policies")
+        env = dict(os.environ, PYTHONPATH=str(tree / "src"))
+
+        def figure_table1() -> str:
+            done = subprocess.run(
+                [sys.executable, "-m", "repro", "figure", "table1",
+                 "--cache-dir", str(tmp_path / "cache")],
+                cwd=tree, env=env, capture_output=True, text=True,
+                check=True)
+            return done.stderr
+
+        assert "0 cached" in figure_table1()
+        assert "1 cached" in figure_table1()
+        tables = tree / "src" / "repro" / "bench" / "tables.py"
+        tables.write_text(tables.read_text() + "# edited\n")
+        assert "0 cached" in figure_table1()
 
 
 class TestSingleCpuFallback:
@@ -180,12 +198,16 @@ class TestResultCache:
         run_experiments(["table2"], cache_dir=cache_dir)
         stale_bin = tmp_path / "cache" / "table2" / ("f" * 32 + ".bin")
         stale_bin.write_bytes(b"junk")
+        # Any other file is foreign too, wherever it sits under the root.
         stale_json = tmp_path / "cache" / "table2" / ("e" * 32 + ".json")
         stale_json.write_text("{}")
+        stray = tmp_path / "cache" / "stray.tmp"
+        stray.write_text("")
         cache = ResultCache(cache_dir)
-        assert cache.prune() == 2
+        assert cache.prune() == 3
         assert not stale_bin.exists()
         assert not stale_json.exists()
+        assert not stray.exists()
         assert run_experiments(["table2"],
                                cache_dir=cache_dir).stats.cache_hits == 1
 

@@ -1,166 +1,136 @@
-"""Unit tests for the invoker pool and scheduling policies."""
+"""Unit tests for the placement policies behind ``select_node``."""
 
 import pytest
 
+from repro.cluster import Cluster, Host
+from repro.config import default_parameters
 from repro.errors import NoHostAvailableError, PlatformError
 from repro.platforms.scheduler import (POLICY_HASH, POLICY_LEAST_LOADED,
-                                       POLICY_ROUND_ROBIN,
-                                       POLICY_SNAPSHOT_LOCALITY, InvokerNode,
-                                       InvokerPool)
+                                       POLICY_ROUND_ROBIN, select_node)
+from repro.sim import Simulation
+from tests.helpers import StubNode
+
+
+def _nodes(count, capacity=16):
+    return [StubNode(node_id=index, capacity=capacity)
+            for index in range(count)]
+
+
+def _pick(nodes, policy, function="fn", cursor=0):
+    """One placement that also claims the slot, as ``Cluster.place`` does;
+    returns ``(node, new_cursor)``."""
+    node, cursor = select_node(nodes, policy, function, cursor)
+    node.assign(function)
+    return node, cursor
 
 
 class TestInvokerNode:
+    """The node side of placement: slot accounting on a real ``Host``."""
+
     def test_assign_release_cycle(self):
-        node = InvokerNode(node_id=0, capacity=2)
-        node.assign("fn")
-        assert node.active == 1
-        assert node.per_function["fn"] == 1
-        node.release()
-        assert node.active == 0
+        host = Host(Simulation(), default_parameters(), capacity=2)
+        host.assign("fn")
+        assert host.active == 1
+        assert host.per_function["fn"] == 1
+        host.release()
+        assert host.active == 0
 
     def test_over_capacity_raises(self):
-        node = InvokerNode(node_id=0, capacity=1)
-        node.assign("fn")
+        host = Host(Simulation(), default_parameters(), capacity=1)
+        host.assign("fn")
         with pytest.raises(PlatformError):
-            node.assign("fn")
+            host.assign("fn")
 
     def test_release_below_zero_raises(self):
         with pytest.raises(PlatformError):
-            InvokerNode(node_id=0).release()
+            Host(Simulation(), default_parameters()).release()
 
 
 class TestPoolConstruction:
     def test_needs_nodes(self):
         with pytest.raises(PlatformError):
-            InvokerPool(nodes=0)
+            select_node([], POLICY_HASH, "fn")
 
     def test_unknown_policy_rejected(self):
         with pytest.raises(PlatformError):
-            InvokerPool(policy="random-ish")
+            select_node(_nodes(2), "random-ish", "fn")
 
 
 class TestRoundRobin:
     def test_cycles_through_nodes(self):
-        pool = InvokerPool(nodes=3, policy=POLICY_ROUND_ROBIN)
-        picks = [pool.pick("fn").node_id for _ in range(6)]
+        nodes, cursor, picks = _nodes(3), 0, []
+        for _ in range(6):
+            node, cursor = select_node(nodes, POLICY_ROUND_ROBIN, "fn",
+                                       cursor)
+            picks.append(node.node_id)
         assert picks == [0, 1, 2, 0, 1, 2]
 
     def test_skips_full_nodes(self):
-        pool = InvokerPool(nodes=2, capacity_per_node=1,
-                           policy=POLICY_ROUND_ROBIN)
-        first = pool.pick("fn")
-        second = pool.pick("fn")
+        nodes = _nodes(2, capacity=1)
+        first, cursor = _pick(nodes, POLICY_ROUND_ROBIN)
+        second, cursor = _pick(nodes, POLICY_ROUND_ROBIN, cursor=cursor)
         assert {first.node_id, second.node_id} == {0, 1}
-        with pytest.raises(PlatformError, match="capacity"):
-            pool.pick("fn")
+        with pytest.raises(NoHostAvailableError, match="capacity"):
+            select_node(nodes, POLICY_ROUND_ROBIN, "fn", cursor)
 
 
 class TestLeastLoaded:
     def test_prefers_idle_node(self):
-        pool = InvokerPool(nodes=3, policy=POLICY_LEAST_LOADED)
-        a = pool.pick("fn")
-        b = pool.pick("fn")
+        nodes = _nodes(3)
+        a, _ = _pick(nodes, POLICY_LEAST_LOADED)
+        b, _ = _pick(nodes, POLICY_LEAST_LOADED)
         assert a.node_id != b.node_id
-        a.release()
-        c = pool.pick("fn")
+        a.active -= 1
+        c, _ = _pick(nodes, POLICY_LEAST_LOADED)
         assert c.node_id == a.node_id  # back to the now-idle node
 
     def test_all_full_raises(self):
-        pool = InvokerPool(nodes=1, capacity_per_node=1,
-                           policy=POLICY_LEAST_LOADED)
-        pool.pick("fn")
-        with pytest.raises(PlatformError):
-            pool.pick("fn")
+        nodes = _nodes(1, capacity=1)
+        _pick(nodes, POLICY_LEAST_LOADED)
+        with pytest.raises(NoHostAvailableError):
+            select_node(nodes, POLICY_LEAST_LOADED, "fn")
 
 
 class TestHash:
     def test_same_function_same_home(self):
-        pool = InvokerPool(nodes=4, policy=POLICY_HASH)
-        homes = {pool.pick("my-fn").node_id for _ in range(5)}
+        nodes = _nodes(4)
+        homes = {_pick(nodes, POLICY_HASH, "my-fn")[0].node_id
+                 for _ in range(5)}
         assert len(homes) == 1
 
     def test_different_functions_spread(self):
-        pool = InvokerPool(nodes=4, policy=POLICY_HASH)
-        homes = {pool.pick(f"fn-{i}").node_id for i in range(40)}
+        nodes = _nodes(4)
+        homes = {select_node(nodes, POLICY_HASH, f"fn-{i}")[0].node_id
+                 for i in range(40)}
         assert len(homes) > 1
 
     def test_overflow_probes_next_node(self):
-        pool = InvokerPool(nodes=2, capacity_per_node=1,
-                           policy=POLICY_HASH)
-        first = pool.pick("fn")
-        second = pool.pick("fn")
+        nodes = _nodes(2, capacity=1)
+        first, _ = _pick(nodes, POLICY_HASH)
+        second, _ = _pick(nodes, POLICY_HASH)
         assert second.node_id == (first.node_id + 1) % 2
 
     def test_deterministic_home(self):
-        a = InvokerPool(nodes=4, policy=POLICY_HASH)
-        b = InvokerPool(nodes=4, policy=POLICY_HASH)
-        assert a.pick("fn").node_id == b.pick("fn").node_id
+        a, _ = select_node(_nodes(4), POLICY_HASH, "fn")
+        b, _ = select_node(_nodes(4), POLICY_HASH, "fn")
+        assert a.node_id == b.node_id
 
 
 class TestStats:
+    """Cluster-wide counters over the hosts ``select_node`` placed on."""
+
+    def _cluster(self):
+        return Cluster(Simulation(), default_parameters(), n_hosts=2,
+                       policy=POLICY_ROUND_ROBIN)
+
     def test_total_active(self):
-        pool = InvokerPool(nodes=2, policy=POLICY_ROUND_ROBIN)
-        pool.pick("a")
-        pool.pick("b")
-        assert pool.total_active() == 2
+        cluster = self._cluster()
+        cluster.place("a")
+        cluster.place("b")
+        assert cluster.total_active() == 2
 
     def test_load_spread(self):
-        pool = InvokerPool(nodes=2, policy=POLICY_LEAST_LOADED)
-        node = pool.pick("a")
-        node.release()
-        node2 = pool.pick("b")
-        node2.release()
-        assert pool.load_spread() <= 2
-
-
-class TestPickAssignRace:
-    """pick() = select + assign, and re-entrant controller logic (the
-    locality callback here) can admit work in between — a selected node
-    may be full by assign time.  That race must be absorbed as a
-    queueable no-room event (re-select, count ``rejected_assigns``), and
-    NoHostAvailableError raised only when every node is genuinely full.
-    """
-
-    @staticmethod
-    def _racing_locality(pool, victim_id, function):
-        """A locality callback that admits one request onto *victim*
-        while the scheduler is mid-select — after its has_room check,
-        before pick() assigns."""
-        fired = []
-
-        def locality(node):
-            if node.node_id == victim_id and not fired:
-                fired.append(True)
-                node.assign(function)   # re-entrant admission
-            return node.node_id == victim_id
-        return locality
-
-    def test_pick_reselects_when_assign_races_with_select(self):
-        pool = InvokerPool(nodes=2, capacity_per_node=1,
-                           policy=POLICY_SNAPSHOT_LOCALITY)
-        victim = 0
-        node = pool.pick("fn", self._racing_locality(pool, victim, "fn"))
-        # The racing admission filled the victim; pick fell over to the
-        # other node instead of crashing the gateway.
-        assert node.node_id != victim
-        assert pool.rejected_assigns == 1
-        assert pool.total_active() == 2      # racer's + ours
-        for n in pool.nodes:
-            assert 0 <= n.active <= n.capacity
-
-    def test_pick_raises_only_when_race_filled_the_last_slot(self):
-        pool = InvokerPool(nodes=1, capacity_per_node=1,
-                           policy=POLICY_SNAPSHOT_LOCALITY)
-        with pytest.raises(NoHostAvailableError):
-            pool.pick("fn", self._racing_locality(pool, 0, "fn"))
-        assert pool.rejected_assigns == 1
-        assert pool.total_active() == 1      # the racer's admission only
-
-    def test_no_rejects_without_contention(self):
-        pool = InvokerPool(nodes=2, capacity_per_node=2,
-                           policy=POLICY_SNAPSHOT_LOCALITY)
-        for _ in range(4):
-            pool.pick("fn", lambda node: True)
-        assert pool.rejected_assigns == 0
-        with pytest.raises(NoHostAvailableError):
-            pool.pick("fn", lambda node: True)
+        cluster = self._cluster()
+        cluster.finish(cluster.place("a"))
+        cluster.finish(cluster.place("b"))
+        assert cluster.load_spread() <= 2

@@ -14,12 +14,13 @@ import pytest
 
 from repro.errors import NoHostAvailableError, ValidationError
 from repro.platforms.keepalive import HybridHistogramKeepAlive
-from repro.platforms.scheduler import InvokerNode, home_index
+from repro.platforms.scheduler import home_index
 from repro.policy import (DslAutoscalePolicy, DslKeepAlivePolicy,
                           DslPlacementPolicy, PolicyRegistry, compile_policy,
                           default_registry, load_policy_dir,
                           resolve_autoscale, resolve_keepalive,
                           resolve_placement, shipped_policy_dir)
+from tests.helpers import StubNode
 
 
 def _placement_doc(tree):
@@ -222,7 +223,7 @@ class TestResolvers:
 
 
 def _nodes(actives, capacity=4):
-    return [InvokerNode(node_id=i, capacity=capacity, active=a)
+    return [StubNode(node_id=i, capacity=capacity, active=a)
             for i, a in enumerate(actives)]
 
 

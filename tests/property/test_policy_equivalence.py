@@ -18,11 +18,12 @@ from hypothesis import strategies as st
 from repro.errors import NoHostAvailableError, ValidationError
 from repro.platforms.keepalive import (FixedKeepAlive,
                                        HybridHistogramKeepAlive)
-from repro.platforms.scheduler import InvokerNode, select_node
+from repro.platforms.scheduler import select_node
 from repro.policy import (AutoscaleView, compile_policy, load_policy_dir,
                           shipped_policy_dir)
 from repro.policy.autoscale import (DslAutoscalePolicy, PredictiveTargets,
                                     ReactiveTargets)
+from tests.helpers import StubNode
 
 SHIPPED = load_policy_dir(shipped_policy_dir())
 
@@ -55,7 +56,7 @@ def cluster_states(draw):
 
 
 def _make_nodes(actives, capacity):
-    return [InvokerNode(node_id=i, capacity=capacity, active=a)
+    return [StubNode(node_id=i, capacity=capacity, active=a)
             for i, a in enumerate(actives)]
 
 

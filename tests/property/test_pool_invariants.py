@@ -1,14 +1,11 @@
-"""Property-based tests: warm-pool and invoker-pool invariants.
+"""Property-based tests: warm-pool invariants.
 
-The serving layer (repro.autoscale) turned both pools into concurrently
-mutated state: admission hand-offs assign/release invoker slots, the
-autoscaler parks and expires warm entries, the invoke path takes them,
-and chaos drains everything at once.  These tests drive random
-interleavings of those operations and check the invariants every caller
-relies on:
+The serving layer (repro.autoscale) turned the warm pool into concurrently
+mutated state: the autoscaler parks and expires warm entries, the invoke
+path takes them, and chaos drains everything at once.  These tests drive
+random interleavings of those operations and check the invariants every
+caller relies on:
 
-* an invoker's ``active`` count is never negative and never exceeds its
-  capacity;
 * no warm entry is ever served twice — an entry leaves the pool exactly
   once, via exactly one of take / drain_expired / drain_all;
 * expiry is monotonic in ``now_ms``: once an entry has lapsed it can
@@ -22,9 +19,7 @@ relies on:
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.errors import NoHostAvailableError, PlatformError
 from repro.platforms.pooling import WarmEntry, WarmPool
-from repro.platforms.scheduler import POLICIES, InvokerPool
 
 
 class _StubWorker:
@@ -142,52 +137,3 @@ class TestWarmPoolInvariants:
         lapsed = pool.drain_expired()
         assert sorted(id(e) for e in lapsed) == \
             sorted(id(e) for e in live_now)
-
-
-# One invoker-pool operation: pick (assign) or release on a random node.
-_invoker_ops = st.lists(
-    st.tuples(st.sampled_from(("pick", "release")),
-              st.integers(0, len(FUNCTIONS) - 1)),
-    min_size=1, max_size=80)
-
-
-class TestInvokerPoolInvariants:
-    """Random assign/release interleavings across every policy."""
-
-    @given(_invoker_ops, st.sampled_from(POLICIES),
-           st.integers(min_value=1, max_value=3),
-           st.integers(min_value=1, max_value=4))
-    @settings(max_examples=120)
-    def test_active_counts_stay_within_bounds(self, ops, policy,
-                                              capacity, nodes):
-        pool = InvokerPool(nodes=nodes, capacity_per_node=capacity,
-                           policy=policy)
-        outstanding = []   # nodes we owe a release
-        for op, fn_index in ops:
-            fn = FUNCTIONS[fn_index]
-            if op == "pick":
-                try:
-                    node = pool.pick(fn)
-                except NoHostAvailableError:
-                    # Only legal when genuinely full everywhere.
-                    assert pool.total_active() == nodes * capacity
-                    continue
-                outstanding.append(node)
-            elif op == "release" and outstanding:
-                outstanding.pop().release()
-            for node in pool.nodes:
-                assert 0 <= node.active <= capacity
-        assert pool.total_active() == len(outstanding)
-
-    @given(st.integers(min_value=1, max_value=3),
-           st.integers(min_value=1, max_value=4))
-    @settings(max_examples=40)
-    def test_release_below_zero_is_refused(self, capacity, nodes):
-        pool = InvokerPool(nodes=nodes, capacity_per_node=capacity)
-        for node in pool.nodes:
-            try:
-                node.release()
-                assert False, "released below zero"
-            except PlatformError:
-                pass
-            assert node.active == 0

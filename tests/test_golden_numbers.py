@@ -114,7 +114,23 @@ GOLDEN_FIGURE_HASHES = {
     # (backend, placement policy) rows through the DAG executor.
     "chains:all":
         "eef16148bf2177ab487427aad74cc6ba8b269a092ac46e912d4bf36447d65f31",
+    # The four closed-loop trace replays, each through its engine shard
+    # function with the default parameters and seed 2022.
+    "cluster:all":
+        "cf0480b15749b8ae95638e08d88df9765184a648abd3b95c35bcee4da585ac30",
+    "chaos:all":
+        "36d007403d3e984fa7a32ca52507f9d9772473a4ecf775b9f7943e75a86d3493",
+    "policies:all":
+        "62fbfbe3573d66df46bd9b0e9545cb2d916d76ae31238e6c48eaea3207d4802f",
+    "keepalive:all":
+        "89ad907a2661f52f500b67ba2917d5a1458e7bc67e92ab5f5efa5bffee0fc8b3",
 }
+
+#: ``run_scheduling_comparison()`` returns ``PolicyResult`` rows, which the
+#: result codec does not encode, so its pin is the sha256 of the result's
+#: ``repr``.
+GOLDEN_SCHEDULING_REPR_HASH = \
+    "6c5dd728b449b0508c4c513eea8259a20b9dc7a6f06096738b6535dff2cde756"
 
 
 class TestGoldenFigureHashes:
@@ -199,3 +215,20 @@ class TestGoldenFigureHashes:
         result = run_chains_experiment(default_parameters())
         assert _canonical_hash(result) == \
             GOLDEN_FIGURE_HASHES["chains:all"]
+
+    @pytest.mark.parametrize("experiment",
+                             ["cluster", "chaos", "policies", "keepalive"])
+    def test_closed_loop_replay_figures(self, experiment):
+        from repro.bench.engine import _SHARD_FNS
+        from repro.config import default_parameters
+        result = _SHARD_FNS[experiment](default_parameters(), 2022)
+        assert _canonical_hash(result) == \
+            GOLDEN_FIGURE_HASHES[f"{experiment}:all"]
+
+    def test_scheduling_comparison(self):
+        import hashlib
+
+        from repro.bench.scheduling import run_scheduling_comparison
+        blob = repr(run_scheduling_comparison()).encode()
+        assert hashlib.sha256(blob).hexdigest() == \
+            GOLDEN_SCHEDULING_REPR_HASH
